@@ -1,4 +1,4 @@
-"""Synthetic workload generators for the evaluation (DESIGN.md, experiments E1–E7).
+"""Synthetic workload generators for the benchmarks (``benchmarks/``, ``perfbench/``).
 
 The paper has no empirical section, so the workloads here are derived from its
 worked examples and from the classical benchmark programs of the WFS

@@ -7,8 +7,9 @@ Provides the handful of utilities every experiment needs:
   to report the *empirical* growth exponent of a scaling series (experiment
   E2 compares it against the paper's PTIME data-complexity claim);
 * :class:`ResultTable` — a tiny column-aligned table printer so every bench
-  prints the rows/series it reproduces in a uniform way (and the output of
-  ``pytest benchmarks/ --benchmark-only`` doubles as the EXPERIMENTS.md data);
+  prints the rows/series it reproduces in a uniform way (the output of
+  ``pytest benchmarks/ --benchmark-only``; ``docs/performance.md`` describes
+  the benchmark files);
 * :func:`scaling_series` — run a (build, run) pair over a list of sizes and
   collect timings.
 

@@ -24,7 +24,10 @@ the current three-valued approximation instead of the final WFS) as its
 convergence criterion: once every frontier node's approximate type key has
 already been seen at a smaller depth, deeper expansion cannot change the truth
 values of literals over the stabilised region (this is the practical analogue
-of Lemma 11; see DESIGN.md).
+of Lemma 11; the test itself is ``WellFoundedEngine._stabilised`` in
+:mod:`repro.core.engine`, and ``docs/architecture.md`` describes the
+deepening loop around it).  That this analogue is *sound* is not yet
+written down: ROADMAP direction 1 tracks the certificate that replaces it.
 """
 
 from __future__ import annotations

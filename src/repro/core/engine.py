@@ -45,6 +45,7 @@ from ..exceptions import ConvergenceError
 from ..lang.atoms import Atom, Literal
 from ..lang.program import Database, DatalogPMProgram
 from ..lang.queries import (
+    ArgumentIndex,
     ConjunctiveQuery,
     NormalBCQ,
     ThreeValuedLike,
@@ -60,7 +61,7 @@ from ..lang.terms import Constant, Term
 from ..chase.engine import GuardedChaseEngine
 from ..chase.forest import ChaseForest
 from ..chase.types import AtomType
-from ..lp.columnar import BACKENDS
+from ..lp.columnar import BACKENDS, ColumnarBase
 from ..lp.grounding import GroundProgram
 from ..lp.interpretation import TruthValue
 from ..lp.wfs import (
@@ -158,6 +159,10 @@ class DatalogWellFoundedModel:
     def false_atoms(self) -> frozenset[Atom]:
         """The unfounded atoms occurring in the materialised segment."""
         return self._lp_model.false_atoms()
+
+    def argument_index(self) -> ArgumentIndex:
+        """The query-evaluation index over the true atoms (built lazily)."""
+        return self._lp_model.argument_index()
 
     def undefined_atoms(self) -> frozenset[Atom]:
         """The undefined atoms of the materialised segment."""
@@ -323,6 +328,13 @@ class WellFoundedEngine:
         #: chase/model state is valid exactly while this matches (see
         #: :meth:`is_stale`)
         self._database_version = database.version
+        #: the EDB at that version: every query path answers from it, so a
+        #: later mutation of :attr:`database` changes no answer (only
+        #: :meth:`is_stale`)
+        self._edb = database.copy()
+        # The EDB interned once for every columnar magic-sets goal (built on
+        # the first one; see :meth:`_magic_base`).
+        self._edb_base: Optional[ColumnarBase] = None
         self.skolemized = skolemize_program(program, skolem_args=skolem_args)
         self.initial_depth = initial_depth
         self.depth_step = depth_step
@@ -361,7 +373,7 @@ class WellFoundedEngine:
 
         self._chase = GuardedChaseEngine(
             self.skolemized,
-            database,
+            self._edb,
             max_nodes=max_nodes,
             require_guarded=require_guarded,
             segment_cache=segment_cache,
@@ -394,8 +406,10 @@ class WellFoundedEngine:
     def is_stale(self) -> bool:
         """``True`` iff :attr:`database` mutated after this engine snapshot it.
 
-        The engine's chase forest, ground program and cached model are all
-        derived from the database as it was at construction time; a caller
+        The engine's chase forest, ground program, cached model and
+        magic-sets goals are all derived from the database as it was at
+        construction time, so a stale engine answers consistently from that
+        snapshot on every path (``rewrite=`` included); a caller
         that mutates the database afterwards must rebuild (the shared-engine
         LRU in :mod:`repro.core.answering` re-checks this fingerprint on
         every hit) or use :class:`repro.views.MaterializedEngine`, which
@@ -416,7 +430,7 @@ class WellFoundedEngine:
         if self._analysis_report is None:
             from ..analysis.planner import analyze
 
-            self._analysis_report = analyze(self.program, self.database)
+            self._analysis_report = analyze(self.program, self._edb)
         return self._analysis_report
 
     def _analysis_summary(self) -> dict:
@@ -570,7 +584,7 @@ class WellFoundedEngine:
         fallback_reason = plan.reason
         if plan.supported:
             grounding = ground_magic(
-                plan, self.database, max_atoms=self.max_nodes, backend=self.backend
+                plan, self._magic_base(), max_atoms=self.max_nodes, backend=self.backend
             )
             if grounding.saturated:
                 stats = {
@@ -619,6 +633,20 @@ class WellFoundedEngine:
         }
         return _RewriteOutcome(model, stats)
 
+    def _magic_base(self) -> "ColumnarBase | Database":
+        """The EDB every magic-sets goal grounds against.
+
+        Under the columnar backend this is one :class:`ColumnarBase` built on
+        the first goal and shared by every later one, so a goal's grounding
+        costs the rows its joins probe, not |D|.  The other backends seed the
+        snapshot per goal (they are the differential oracles).
+        """
+        if self.backend != "columnar":
+            return self._edb
+        if self._edb_base is None:
+            self._edb_base = ColumnarBase(self._edb)
+        return self._edb_base
+
     def _pruned_model(
         self, relevant: frozenset
     ) -> tuple[DatalogWellFoundedModel, int]:
@@ -640,7 +668,7 @@ class WellFoundedEngine:
         if sub_engine is None:
             sub_engine = WellFoundedEngine(
                 DatalogPMProgram(pruned_rules),
-                self.database,
+                self._edb,
                 initial_depth=self.initial_depth,
                 depth_step=self.depth_step,
                 max_depth=self.max_depth,
@@ -699,13 +727,13 @@ class WellFoundedEngine:
 
     def delta(self) -> int:
         """The theoretical locality constant δ of Prop. 12 for this program's schema."""
-        return delta_bound(self.program.schema(self.database))
+        return delta_bound(self.program.schema(self._edb))
 
     def query_depth_bound(self, query: Union[NormalBCQ, str]) -> int:
         """The theoretical depth bound ``n·δ`` of Prop. 12 for a concrete query."""
         if isinstance(query, str):
             query = parse_query(query)
-        return query_depth_bound(query, self.program.schema(self.database))
+        return query_depth_bound(query, self.program.schema(self._edb))
 
     # -- computation -------------------------------------------------------------------
 
@@ -887,9 +915,16 @@ class WellFoundedEngine:
         previous_frontier_keys: Optional[frozenset],
         current_frontier_keys: frozenset,
     ) -> bool:
-        """The engine's convergence test (see DESIGN.md, Sec. 2.2).
+        """The engine's convergence test: a heuristic, not yet a proof.
 
-        Two conditions, both grounded in the locality lemma (Lemma 11):
+        No argument that this test is sound is written down anywhere, and
+        the parity program of ROADMAP's open items shows it can fire on a
+        model that is not WFS(D, Σ).  ROADMAP direction 1 replaces it with a
+        certificate (terminating chase, three-valued bracket or locality
+        bound); ``docs/architecture.md`` describes the deepening loop that
+        calls it.
+
+        Two conditions, both motivated by the locality lemma (Lemma 11):
 
         (a) the *frontier looks the same as last round*: the set of canonical
             frontier type keys is unchanged between the previous and the
@@ -898,10 +933,11 @@ class WellFoundedEngine:
         (b) the truth values of all atoms of the previous segment are
             unchanged by the deeper expansion.
 
-        Because isomorphic types generate isomorphic subtrees with isomorphic
-        well-founded submodels, a repeating frontier together with stable
-        interior values means further expansion can only add isomorphic copies
-        of structure that is already accounted for.
+        The intuition: isomorphic types generate isomorphic subtrees with
+        isomorphic well-founded submodels, so a repeating frontier together
+        with stable interior values should mean further expansion only adds
+        isomorphic copies of structure already accounted for.  The parity
+        program defeats it: a cut-parity effect survives the comparison.
         """
         # (b) value stability over the previous segment
         for atom in previous.segment_atoms():

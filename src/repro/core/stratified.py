@@ -30,7 +30,13 @@ from typing import Iterable, Optional, Union
 from ..exceptions import NotStratifiedError
 from ..lang.atoms import Atom
 from ..lang.program import Database, DatalogPMProgram
-from ..lang.queries import ConjunctiveQuery, NormalBCQ, evaluate_query, query_holds
+from ..lang.queries import (
+    ArgumentIndex,
+    ConjunctiveQuery,
+    NormalBCQ,
+    evaluate_query,
+    query_holds,
+)
 from ..lang.rules import NormalRule
 from ..lang.skolem import skolemize_ntgd
 from ..lang.parser import parse_database, parse_program, parse_query
@@ -53,6 +59,7 @@ class StratifiedModel:
     def __init__(self, atoms: Iterable[Atom], *, depth: int):
         self._atoms = frozenset(atoms)
         self.depth = depth
+        self._index: Optional[ArgumentIndex] = None
 
     def is_true(self, atom: Atom) -> bool:
         """Atom was derived by the stratified chase."""
@@ -69,6 +76,12 @@ class StratifiedModel:
     def true_atoms(self) -> frozenset[Atom]:
         """All derived atoms (including atoms with labelled nulls)."""
         return self._atoms
+
+    def argument_index(self) -> ArgumentIndex:
+        """The query-evaluation index over the derived atoms (built lazily)."""
+        if self._index is None:
+            self._index = ArgumentIndex(self._atoms)
+        return self._index
 
     def __len__(self) -> int:
         return len(self._atoms)

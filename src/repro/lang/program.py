@@ -144,8 +144,12 @@ class Database:
         return result
 
     def copy(self) -> "Database":
-        """A shallow copy of the database."""
-        return Database(self._atoms, allow_nulls=self._allow_nulls)
+        """A shallow copy of the database (its atoms were validated on entry)."""
+        clone = Database(allow_nulls=self._allow_nulls)
+        clone._atoms = set(self._atoms)
+        clone._by_predicate = {p: set(bucket) for p, bucket in self._by_predicate.items()}
+        clone._version = len(clone._atoms)  # as if each atom had been added
+        return clone
 
     def __str__(self) -> str:
         listed = sorted(self._atoms, key=lambda a: a.sort_key())

@@ -11,15 +11,20 @@ Evaluation is defined against either
 
 * a plain set of ground atoms (two-valued, closed world): a negated query atom
   holds iff no matching atom is in the set; or
-* any *three-valued* interpretation object exposing ``is_true(atom)`` and
-  ``is_false(atom)`` (e.g. :class:`repro.lp.interpretation.Interpretation` or
-  the well-founded model produced by the Datalog± engine): a negated query
-  atom ``not b`` holds for a homomorphism μ iff ``μ(b)`` is *false* (not merely
-  "not true"), exactly as in the paper's definition of NBCQ satisfaction.
+* any *three-valued* interpretation object exposing ``is_true(atom)``,
+  ``is_false(atom)`` and an :class:`ArgumentIndex` over its true atoms
+  (e.g. :class:`repro.lp.interpretation.Interpretation` or the well-founded
+  model produced by the Datalog± engine): a negated query atom ``not b``
+  holds for a homomorphism μ iff ``μ(b)`` is *false* (not merely "not
+  true"), exactly as in the paper's definition of NBCQ satisfaction.
+
+A model keeps its index for as long as it is unchanged, so a query costs
+the candidates its bound positions select, not the size of the model.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Protocol, Sequence, Union, runtime_checkable
 
@@ -29,6 +34,7 @@ from .substitution import Substitution, match
 from .terms import Constant, Term, Variable, is_ground_term
 
 __all__ = [
+    "ArgumentIndex",
     "ConjunctiveQuery",
     "NormalBCQ",
     "ThreeValuedLike",
@@ -43,9 +49,10 @@ __all__ = [
 class ThreeValuedLike(Protocol):
     """Structural protocol for three-valued interpretations.
 
-    Anything with ``is_true``/``is_false`` membership tests can serve as the
-    evaluation structure for NBCQs (the well-founded model classes implement
-    this protocol).
+    Anything with ``is_true``/``is_false`` membership tests and an
+    :class:`ArgumentIndex` over its true atoms can serve as the evaluation
+    structure for NBCQs (the well-founded model classes implement this
+    protocol and keep their index for as long as they are unchanged).
     """
 
     def is_true(self, atom: Atom) -> bool:  # pragma: no cover - protocol
@@ -55,6 +62,9 @@ class ThreeValuedLike(Protocol):
         ...
 
     def true_atoms(self) -> Iterable[Atom]:  # pragma: no cover - protocol
+        ...
+
+    def argument_index(self) -> "ArgumentIndex":  # pragma: no cover - protocol
         ...
 
 
@@ -206,6 +216,65 @@ def as_conjunctive_query(query: "NormalBCQ | ConjunctiveQuery") -> ConjunctiveQu
 InterpretationLike = Union[ThreeValuedLike, Iterable[Atom]]
 
 
+class ArgumentIndex:
+    """A lazy argument index over a fixed set of true atoms.
+
+    Query evaluation probes it with a partially instantiated atom: the
+    predicate, its arity, the positions whose arguments are already bound and
+    their values.  The atoms are grouped by predicate on the first probe, and
+    one hash table per ``(predicate, arity, bound positions)`` is built on
+    that key's first probe and kept, so repeated queries against the same
+    model cost their answer size, not the model size.  The index never
+    observes later changes to the atom set: owners that mutate
+    (:class:`~repro.lp.interpretation.Interpretation`) drop it and build a
+    new one.
+    """
+
+    __slots__ = ("_atoms", "_by_predicate", "_tables")
+
+    def __init__(self, atoms: Iterable[Atom]):
+        self._atoms = atoms
+        self._by_predicate: Optional[dict[str, list[Atom]]] = None
+        #: one position keys its table by the bare term, several by a tuple
+        self._tables: dict[tuple[str, int, tuple[int, ...]], dict[object, list[Atom]]] = {}
+
+    def matching(
+        self,
+        predicate: str,
+        arity: int,
+        positions: tuple[int, ...],
+        values: tuple[Term, ...],
+    ) -> Sequence[Atom]:
+        """The atoms of ``predicate`` carrying *values* at *positions*.
+
+        With no bound position this is every atom of the predicate, of any
+        arity (the caller's matcher checks it); otherwise only atoms of the
+        given arity are returned.
+        """
+        by_predicate = self._by_predicate
+        if by_predicate is None:
+            grouped: defaultdict[str, list[Atom]] = defaultdict(list)
+            for atom in self._atoms:
+                grouped[atom.predicate].append(atom)
+            by_predicate = self._by_predicate = grouped
+        if not positions:
+            return by_predicate.get(predicate, ())
+        key = (predicate, arity, positions)
+        table = self._tables.get(key)
+        if table is None:
+            built: defaultdict[object, list[Atom]] = defaultdict(list)
+            candidates = [a for a in by_predicate.get(predicate, ()) if len(a.args) == arity]
+            if len(positions) == 1:
+                (position,) = positions
+                for atom in candidates:
+                    built[atom.args[position]].append(atom)
+            else:
+                for atom in candidates:
+                    built[tuple(atom.args[i] for i in positions)].append(atom)
+            table = self._tables[key] = built
+        return table.get(values[0] if len(values) == 1 else values, ())
+
+
 class _SetAdapter:
     """Adapt a plain set of ground atoms to the three-valued protocol.
 
@@ -216,9 +285,7 @@ class _SetAdapter:
 
     def __init__(self, atoms: Iterable[Atom]):
         self._atoms = atoms if isinstance(atoms, (set, frozenset)) else set(atoms)
-        self._by_predicate: dict[str, list[Atom]] = {}
-        for atom in self._atoms:
-            self._by_predicate.setdefault(atom.predicate, []).append(atom)
+        self._index: Optional[ArgumentIndex] = None
 
     def is_true(self, atom: Atom) -> bool:
         return atom in self._atoms
@@ -229,41 +296,104 @@ class _SetAdapter:
     def true_atoms(self) -> Iterable[Atom]:
         return self._atoms
 
-    def true_atoms_with_predicate(self, predicate: str) -> Iterable[Atom]:
-        return self._by_predicate.get(predicate, ())
+    def argument_index(self) -> ArgumentIndex:
+        if self._index is None:
+            self._index = ArgumentIndex(self._atoms)
+        return self._index
 
 
 def _adapt(interpretation: InterpretationLike) -> ThreeValuedLike:
-    """Wrap plain atom collections; pass through three-valued objects."""
+    """Wrap plain atom collections; pass through three-valued objects.
+
+    An object with ``is_true``/``is_false`` but no ``argument_index`` is
+    rejected rather than read as a set of atoms, which would answer it under
+    the closed world.
+    """
     if isinstance(interpretation, ThreeValuedLike) and not isinstance(
         interpretation, (set, frozenset, list, tuple)
     ):
         return interpretation
+    if hasattr(interpretation, "is_true") and hasattr(interpretation, "is_false"):
+        raise TypeError(
+            f"{type(interpretation).__name__} has is_true/is_false but no "
+            "argument_index(); three-valued interpretations must provide one "
+            "(see ThreeValuedLike)"
+        )
     return _SetAdapter(interpretation)  # type: ignore[arg-type]
-
-
-def _true_atom_index(interpretation: ThreeValuedLike) -> dict[str, list[Atom]]:
-    """Predicate-indexed view of the interpretation's true atoms."""
-    index: dict[str, list[Atom]] = {}
-    for atom in interpretation.true_atoms():
-        index.setdefault(atom.predicate, []).append(atom)
-    return index
 
 
 def _homomorphisms(
     positive: Sequence[Atom],
-    index: dict[str, list[Atom]],
-    subst: Substitution,
-) -> Iterator[Substitution]:
-    """Enumerate substitutions matching every positive atom to a true atom."""
+    interpretation: ThreeValuedLike,
+    index: ArgumentIndex,
+    binding: dict[Term, Term],
+) -> Iterator[dict[Term, Term]]:
+    """Enumerate bindings mapping every positive atom to a true atom.
+
+    Each atom is probed on the positions the binding already fixes: a fully
+    bound atom is one ``is_true`` test, any other one lookup in the model's
+    :class:`ArgumentIndex`, after which only the free positions are bound
+    (and repeated variables checked).  Bindings are plain dicts, extended by
+    copy; :class:`Substitution` objects are built only for function-term
+    patterns and negated atoms.
+    """
     if not positive:
-        yield subst
+        yield binding
         return
     first, rest = positive[0], positive[1:]
-    for candidate in index.get(first.predicate, ()):  # pragma: no branch
-        extended = match(first, candidate, subst)
-        if extended is not None:
-            yield from _homomorphisms(rest, index, extended)
+    args = first.args
+    positions: list[int] = []
+    values: list[Term] = []
+    free: list[tuple[int, Variable]] = []
+    patterned = False
+    for position, arg in enumerate(args):
+        if isinstance(arg, Variable):
+            bound = binding.get(arg)
+            if bound is None:
+                free.append((position, arg))
+            else:
+                positions.append(position)
+                values.append(bound)
+        elif is_ground_term(arg):
+            positions.append(position)
+            values.append(arg)
+        else:  # a function-term pattern with variables: left to ``match``
+            patterned = True
+    if len(positions) == len(args):
+        if interpretation.is_true(Atom(first.predicate, tuple(values))):
+            yield from _homomorphisms(rest, interpretation, index, binding)
+        return
+    arity = len(args)
+    for candidate in index.matching(first.predicate, arity, tuple(positions), tuple(values)):
+        if patterned:
+            matched = match(first, candidate, Substitution(binding))
+            extended = None if matched is None else dict(matched.mapping)
+        else:
+            extended = _bind_free(candidate.args, arity, free, binding)
+        if extended is None:
+            continue
+        if rest:
+            yield from _homomorphisms(rest, interpretation, index, extended)
+        else:
+            yield extended
+
+
+def _bind_free(
+    target: tuple[Term, ...],
+    arity: int,
+    free: list[tuple[int, Variable]],
+    binding: dict[Term, Term],
+) -> Optional[dict[Term, Term]]:
+    """*binding* extended by the free variables' values in *target*, if consistent."""
+    if len(target) != arity:
+        return None
+    extended = dict(binding)
+    for position, variable in free:
+        value = target[position]
+        bound = extended.setdefault(variable, value)
+        if bound is not value and bound != value:
+            return None  # a repeated variable met two different terms
+    return extended
 
 
 def evaluate_query(
@@ -277,10 +407,11 @@ def evaluate_query(
     caller may filter nulls out if certain answers over ``Δ`` are desired.
     """
     adapted = _adapt(interpretation)
-    index = _true_atom_index(adapted)
+    index = adapted.argument_index()
     answers: set[tuple[Term, ...]] = set()
-    for hom in _homomorphisms(query.atoms, index, Substitution.empty()):
-        answers.add(tuple(hom.apply_term(v) for v in query.answer_variables))
+    variables = query.answer_variables
+    for binding in _homomorphisms(query.atoms, adapted, index, {}):
+        answers.add(tuple(binding[v] for v in variables))
     return answers
 
 
@@ -296,7 +427,7 @@ def query_holds(
     as the paper defines NBCQ satisfaction in an interpretation ``I ⊆ Lit_P``.
     """
     adapted = _adapt(interpretation)
-    index = _true_atom_index(adapted)
+    index = adapted.argument_index()
 
     if isinstance(query, ConjunctiveQuery):
         positive: Sequence[Atom] = query.atoms
@@ -305,14 +436,14 @@ def query_holds(
         positive = query.positive
         negative = query.negative
 
-    for hom in _homomorphisms(positive, index, Substitution.empty()):
-        if _negatives_false(negative, hom, adapted):
+    for binding in _homomorphisms(positive, adapted, index, {}):
+        if _negatives_false(negative, binding, adapted):
             return True
     return False
 
 
 def _negatives_false(
-    negative: Sequence[Atom], hom: Substitution, interpretation: ThreeValuedLike
+    negative: Sequence[Atom], binding: dict[Term, Term], interpretation: ThreeValuedLike
 ) -> bool:
     """Check that every negated atom is false (in the three-valued sense) under *hom*.
 
@@ -323,6 +454,9 @@ def _negatives_false(
     ground after applying the homomorphism (the parser enforces that NBCQ
     negative variables also occur positively, so this is not hit in practice).
     """
+    if not negative:
+        return True
+    hom = Substitution(binding)
     for atom in negative:
         instantiated = hom.apply_atom(atom)
         if not instantiated.is_ground():

@@ -37,6 +37,12 @@ function term (a pattern like ``p(f(X))`` that must destructure a Skolem term)
 fall back to the tuple matcher for that rule only — columns are opaque ids, so
 structural matching stays in term space.
 
+A :class:`ColumnarBase` interns a database once so that many programs can
+be grounded over it: :meth:`ColumnarGrounder.over_base` reads its rows as
+*old* rows that join but never drive a delta round.  The magic-sets query
+path grounds every goal of an engine this way, so a goal's cost follows the
+rows its joins probe instead of the size of the database.
+
 ``engine="sqlite"`` executes the same compiled plans as SQL against an
 in-memory :mod:`sqlite3` database (one table per predicate, one delta table
 per round) instead of the pure-Python dict-of-tuples join.  Both engines share
@@ -47,7 +53,7 @@ module still import cleanly.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from ..exceptions import GroundingError
 from ..lang.atoms import Atom
@@ -72,6 +78,7 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "BACKENDS",
+    "ColumnarBase",
     "ColumnarGrounder",
     "make_grounder",
 ]
@@ -138,6 +145,70 @@ class _Relation:
         return index
 
 
+def _intern(term_ids: dict[Term, int], terms: list[Term], term: Term) -> int:
+    """The id of *term* in a term table, assigning the next one if it is new."""
+    term_id = term_ids.get(term)
+    if term_id is None:
+        term_id = term_ids[term] = len(terms)
+        terms.append(term)
+    return term_id
+
+
+class ColumnarBase:
+    """A database interned once and read by many goal grounders.
+
+    Holds the term table and one :class:`_Relation` per predicate over
+    *atoms*, a set-like collection of ground atoms (a
+    :class:`~repro.lang.program.Database` or a set) that the base keeps for
+    membership and size instead of copying it, so it must not change while
+    the base is in use.  :meth:`ColumnarGrounder.over_base` builds a grounder
+    that shares the term table and reads these relations as *old* rows: they
+    never enter a delta round, so a goal pays for the rows its joins probe,
+    not for the size of the database.  Grounders only ever add to the base
+    what leaves its rows unchanged — newly interned terms and the hash
+    indexes their joins build — so one base serves any number of goals.
+    """
+
+    __slots__ = ("term_ids", "terms", "relations", "atoms")
+
+    def __init__(self, atoms: Collection[Atom]):
+        self.term_ids: dict[Term, int] = {}
+        self.terms: list[Term] = []
+        self.relations: dict[tuple[str, int], _Relation] = {}
+        self.atoms = atoms
+        term_ids, terms = self.term_ids, self.terms
+        for atom in atoms:
+            if not atom.is_ground():
+                raise GroundingError(f"database atoms must be ground, got {atom}")
+            key = (atom.predicate, len(atom.args))
+            relation = self.relations.get(key)
+            if relation is None:
+                relation = self.relations[key] = _Relation(len(atom.args))
+            relation.add(tuple(_intern(term_ids, terms, arg) for arg in atom.args), atom)
+
+    def __len__(self) -> int:
+        return len(self.atoms)
+
+    def __iter__(self) -> Iterator[Atom]:
+        return iter(self.atoms)
+
+    def facts_matching(
+        self, predicate: str, arity: int, positions: tuple[int, ...], values: Iterable[Term]
+    ) -> list[Atom]:
+        """The atoms of ``predicate/arity`` carrying *values* at *positions*."""
+        relation = self.relations.get((predicate, arity))
+        if relation is None:
+            return []
+        key = []
+        for value in values:
+            term_id = self.term_ids.get(value)
+            if term_id is None:
+                return []
+            key.append(term_id)
+        bucket = relation.ensure_index(positions).get(tuple(key), ())
+        return [relation.atom_of[row] for row in bucket]
+
+
 class _Probe:
     """A compiled probe of one body atom inside a join plan.
 
@@ -178,11 +249,7 @@ class _CompiledRule:
 
     def __init__(self, rule: NormalRule):
         self.rule = rule
-        self.fallback = any(
-            not (isinstance(arg, Variable) or _is_ground(arg))
-            for atom in rule.body_pos
-            for arg in atom.args
-        )
+        self.fallback = _destructures_terms(rule)
         self.nvars = 0
         self.plans: list[_Plan] = []
         self.body_builders: list = []
@@ -196,6 +263,15 @@ def _is_ground(term: Term) -> bool:
     return not isinstance(term, Variable) and is_ground_term(term)
 
 
+def _destructures_terms(rule: NormalRule) -> bool:
+    """Does a positive body atom hold a non-ground function-term pattern?"""
+    return any(
+        not (isinstance(arg, Variable) or _is_ground(arg))
+        for atom in rule.body_pos
+        for arg in atom.args
+    )
+
+
 class ColumnarGrounder:
     """Semi-naive relevant grounding over columnar int relations.
 
@@ -204,7 +280,8 @@ class ColumnarGrounder:
     ``saturated`` / :meth:`delta_rules` / :meth:`run` surface, same budget
     semantics — only the inner loop differs.  ``engine`` selects the join
     executor: ``"dict"`` (pure-Python hash joins) or ``"sqlite"`` (the same
-    plans as SQL over an in-memory database).
+    plans as SQL over an in-memory database).  :meth:`over_base` builds one
+    that reads a shared :class:`ColumnarBase` instead of seeding a database.
     """
 
     def __init__(
@@ -221,15 +298,57 @@ class ColumnarGrounder:
                 "backend 'sqlite' requires the stdlib sqlite3 module, "
                 "which is unavailable in this interpreter"
             )
+        self._setup(engine, None)
+        self._load(list(program), extra_atoms)
+
+    @classmethod
+    def over_base(
+        cls, base: ColumnarBase, program: NormalProgram | Iterable[NormalRule]
+    ) -> Optional["ColumnarGrounder"]:
+        """A dict-engine grounder of *program* that reads *base* as old rows.
+
+        The base's rows are candidates from the start but never delta, so a
+        rule instance is found only once one of its body atoms is new.  That
+        finds every instance exactly when each rule has a positive body atom
+        outside the base's predicates (in a magic-sets plan, its magic
+        guard) and no rule derives a base predicate.  Otherwise, and when a
+        rule needs the per-candidate matcher (a function-term pattern), this
+        returns ``None`` and the caller seeds the database instead.  The
+        fact-delta methods (:meth:`add_fact`, :meth:`retract_fact`) are not
+        for such a grounder, as they would write the shared relations.
+        """
+        rules = list(program)
+        relations = base.relations
+        for rule in rules:
+            if (rule.head.predicate, len(rule.head.args)) in relations:
+                return None
+            if rule.is_fact():
+                continue
+            if _destructures_terms(rule) or all(
+                (atom.predicate, len(atom.args)) in relations for atom in rule.body_pos
+            ):
+                return None
+        grounder = cls.__new__(cls)
+        grounder._setup("dict", base)
+        grounder._load(rules, ())
+        return grounder
+
+    def _setup(self, engine: str, base: Optional[ColumnarBase]) -> None:
         self.engine = engine
         self.ground = GroundProgram()
+        #: candidate atoms this grounder added (never the base's atoms)
         self.index = PredicateIndex()
         self.rounds = 0
         self._delta_start = 0
 
-        # -- interning ---------------------------------------------------------
-        self._term_ids: dict[Term, int] = {}
-        self._terms: list[Term] = []
+        # -- interning (shared with the base, if any) --------------------------
+        self._base = base
+        if base is None:
+            self._term_ids: dict[Term, int] = {}
+            self._terms: list[Term] = []
+        else:
+            self._term_ids = base.term_ids
+            self._terms = base.terms
         self._relations: dict[tuple[str, int], _Relation] = {}
 
         # -- pending delta -----------------------------------------------------
@@ -249,10 +368,11 @@ class ColumnarGrounder:
         if engine == "sqlite":
             self._conn = sqlite3.connect(":memory:")
 
+    def _load(self, rules: list[NormalRule], extra_atoms: Iterable[Atom]) -> None:
         for atom in extra_atoms:
             self._seed(atom)
         once_rules: list[NormalRule] = []
-        for rule in program:
+        for rule in rules:
             if rule.is_fact() and rule.is_ground():
                 self.ground.add(rule)
                 self._seed(rule.head)
@@ -275,20 +395,21 @@ class ColumnarGrounder:
     # -- interning -------------------------------------------------------------
 
     def _intern_term(self, term: Term) -> int:
-        term_id = self._term_ids.get(term)
-        if term_id is None:
-            term_id = len(self._terms)
-            self._term_ids[term] = term_id
-            self._terms.append(term)
-        return term_id
+        return _intern(self._term_ids, self._terms, term)
 
     def _relation(self, predicate: str, arity: int) -> _Relation:
         key = (predicate, arity)
         relation = self._relations.get(key)
         if relation is None:
-            relation = _Relation(arity)
+            shared = self._base.relations.get(key) if self._base is not None else None
+            # a base relation is read-only: over_base admits no rule deriving it
+            relation = _Relation(arity) if shared is None else shared
             self._relations[key] = relation
         return relation
+
+    def candidate_count(self) -> int:
+        """Candidate atoms visible to joins: the base's plus this grounder's."""
+        return len(self.index) + (len(self._base) if self._base is not None else 0)
 
     # -- seeding ---------------------------------------------------------------
 
@@ -548,7 +669,7 @@ class ColumnarGrounder:
                             self._seed(instance.head)
                 else:
                     self._delta_step(rule_id, compiled, delta_rows)
-            if max_atoms is not None and len(self.index) > max_atoms:
+            if max_atoms is not None and self.candidate_count() > max_atoms:
                 if raise_on_budget:
                     raise GroundingError(
                         f"relevant grounding exceeded the atom budget of {max_atoms}"

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Optional
 
 from ..exceptions import InconsistentInterpretationError
 from ..lang.atoms import Atom, Literal
+from ..lang.queries import ArgumentIndex
 
 __all__ = ["Interpretation", "TruthValue"]
 
@@ -31,7 +32,7 @@ class TruthValue:
 class Interpretation:
     """A consistent set of ground literals, i.e. a three-valued interpretation."""
 
-    __slots__ = ("_true", "_false")
+    __slots__ = ("_true", "_false", "_index")
 
     def __init__(
         self,
@@ -40,6 +41,8 @@ class Interpretation:
     ):
         self._true: set[Atom] = set(true_atoms)
         self._false: set[Atom] = set(false_atoms)
+        #: lazy argument index over ``_true``; dropped whenever it grows
+        self._index: Optional[ArgumentIndex] = None
         overlap = self._true & self._false
         if overlap:
             sample = next(iter(overlap))
@@ -113,6 +116,12 @@ class Interpretation:
         """The set of false atoms."""
         return frozenset(self._false)
 
+    def argument_index(self) -> ArgumentIndex:
+        """The query-evaluation index over the true atoms (built lazily)."""
+        if self._index is None:
+            self._index = ArgumentIndex(self._true)
+        return self._index
+
     def literals(self) -> Iterator[Literal]:
         """Iterate over all literals of the interpretation (positives first)."""
         for atom in self._true:
@@ -137,6 +146,7 @@ class Interpretation:
         if atom in self._false:
             raise InconsistentInterpretationError(f"{atom} is already false")
         self._true.add(atom)
+        self._index = None
 
     def add_false(self, atom: Atom) -> None:
         """Mark *atom* as false (raises if it is already true)."""
@@ -161,6 +171,7 @@ class Interpretation:
             )
         self._true |= other._true
         self._false |= other._false
+        self._index = None
 
     # -- algebra ----------------------------------------------------------------
 

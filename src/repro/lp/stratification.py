@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Optional
 
 from ..exceptions import NotStratifiedError
 from ..lang.atoms import Atom
+from ..lang.queries import ArgumentIndex
 from ..lang.program import NormalProgram
 from ..lang.rules import NormalRule
 from .fixpoint import RuleIndex
@@ -173,6 +174,7 @@ class PerfectModel:
     def __init__(self, true_atoms: Iterable[Atom], universe: Iterable[Atom]):
         self._true = frozenset(true_atoms)
         self._universe = frozenset(universe) | self._true
+        self._index: Optional[ArgumentIndex] = None
 
     def is_true(self, atom: Atom) -> bool:
         """Atom is in the perfect model."""
@@ -189,6 +191,12 @@ class PerfectModel:
     def true_atoms(self) -> frozenset[Atom]:
         """The atoms of the model."""
         return self._true
+
+    def argument_index(self) -> ArgumentIndex:
+        """The query-evaluation index over the true atoms (built lazily)."""
+        if self._index is None:
+            self._index = ArgumentIndex(self._true)
+        return self._index
 
     def universe(self) -> frozenset[Atom]:
         """The relevant universe the model was computed over."""

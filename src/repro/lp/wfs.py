@@ -43,6 +43,7 @@ from __future__ import annotations
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from ..lang.atoms import Atom, Literal
+from ..lang.queries import ArgumentIndex
 from .fixpoint import IncrementalCondensation, RuleIndex
 from .grounding import GroundProgram
 from .interpretation import Interpretation
@@ -108,6 +109,10 @@ class WellFoundedModel:
     def false_atoms(self) -> frozenset[Atom]:
         """The unfounded (false) atoms *inside the relevant universe*."""
         return self._interpretation.false_atoms()
+
+    def argument_index(self) -> ArgumentIndex:
+        """The query-evaluation index over the true atoms (built lazily)."""
+        return self._interpretation.argument_index()
 
     def undefined_atoms(self) -> frozenset[Atom]:
         """The undefined atoms of the relevant universe."""

@@ -49,7 +49,7 @@ from ..lang.atoms import Atom, Literal
 from ..lang.program import NormalProgram
 from ..lang.rules import NormalRule
 from ..lang.terms import Term
-from ..lp.columnar import make_grounder
+from ..lp.columnar import ColumnarBase, ColumnarGrounder, make_grounder
 from ..lp.grounding import GroundProgram
 from .adornment import AdornedProgram, Adornment, adorn
 from .sips import SIPSStrategy, sips_strategy
@@ -334,6 +334,9 @@ class MagicGrounding:
     candidates: int
     #: database facts covered (and therefore kept)
     covered_facts: int
+    #: database rows fed to the grounder as delta: the database size when
+    #: seeding, 0 when grounding over a shared base
+    edb_rows_seeded: int = 0
 
     def stats(self) -> dict:
         """JSON-ready summary used by the engine's per-query statistics."""
@@ -344,12 +347,13 @@ class MagicGrounding:
             "magic_atoms": self.magic_atoms,
             "candidates": self.candidates,
             "covered_facts": self.covered_facts,
+            "edb_rows_seeded": self.edb_rows_seeded,
         }
 
 
 def ground_magic(
     plan: MagicPlan,
-    database: Iterable[Atom] = (),
+    database: "Iterable[Atom] | ColumnarBase" = (),
     *,
     max_rounds: Optional[int] = None,
     max_atoms: Optional[int] = None,
@@ -368,19 +372,33 @@ def ground_magic(
     the magic guard — always the first positive body atom of a gated rule —
     drives the first hash probe of every join plan, so the guard's bound
     columns act as a semi-join filter over the gated relation.
+
+    ``database`` may be a :class:`~repro.lp.columnar.ColumnarBase` built
+    once over the EDB (what :class:`~repro.core.engine.WellFoundedEngine`
+    passes).  The columnar backend then grounds over it without seeding a
+    single EDB row: only the magic seeds drive the first delta round (see
+    :meth:`~repro.lp.columnar.ColumnarGrounder.over_base`, which declines
+    plans with a rule lacking a magic guard — the query-prefix magic rules of
+    a conjunctive goal — or deriving a database predicate; those seed the
+    database as the other backends always do).  Covered facts
+    are found by probing the base's relations with each derived magic atom's
+    bound arguments, never by scanning the database.
     """
     if plan.program is None:
         raise ValueError(f"plan is not supported ({plan.reason}); cannot ground it")
-    database = list(database)
-    grounder = make_grounder(plan.program, database, backend=backend)
+    base = database if isinstance(database, ColumnarBase) else ColumnarBase(set(database))
+    grounder = None
+    if backend == "columnar":
+        grounder = ColumnarGrounder.over_base(base, plan.program)
+    seeded = 0
+    if grounder is None:
+        grounder = make_grounder(plan.program, base, backend=backend)
+        seeded = len(base)
     saturated = grounder.run(
         max_rounds=max_rounds, max_atoms=max_atoms, raise_on_budget=False
     )
 
     stripped = GroundProgram()
-    magic_atoms = sum(
-        1 for atom in grounder.index.atoms() if is_magic_predicate(atom.predicate)
-    )
     for instance in grounder.ground:
         if is_magic_predicate(instance.head.predicate):
             continue
@@ -392,20 +410,32 @@ def ground_magic(
             )
         )
 
-    adornments = plan.adornments_by_predicate()
-    covered_facts = 0
-    for atom in database:
-        for adornment in adornments.get(atom.predicate, ()):
-            if _magic_atom(atom.predicate, adornment, atom.args) in grounder.index:
-                stripped.add(NormalRule(atom))
-                covered_facts += 1
-                break
+    # A database fact is covered iff some representative magic atom of its
+    # predicate carries its bound arguments: probe the base with each one.
+    magic_atoms = 0
+    covered: dict[Atom, None] = {}
+    for predicate, adornments in plan.adornments_by_predicate().items():
+        for adornment in adornments:
+            positions = adornment.bound_positions()
+            for magic in grounder.index.get(magic_predicate_name(predicate, adornment)):
+                magic_atoms += 1
+                for fact in base.facts_matching(
+                    predicate, adornment.arity, positions, magic.args
+                ):
+                    covered[fact] = None
+    for fact in covered:
+        stripped.add(NormalRule(fact))
 
     return MagicGrounding(
         ground=stripped,
         saturated=saturated,
         rounds=grounder.rounds,
         magic_atoms=magic_atoms,
-        candidates=len(grounder.index),
-        covered_facts=covered_facts,
+        candidates=(
+            grounder.candidate_count()
+            if isinstance(grounder, ColumnarGrounder)
+            else len(grounder.index)
+        ),
+        covered_facts=len(covered),
+        edb_rows_seeded=seeded,
     )

@@ -168,9 +168,11 @@ class MaterializedEngine:
         Initial EDB facts (:class:`~repro.lang.program.Database`, iterable of
         atoms, or text).
     backend:
-        Grounding executor for the delta rounds — ``"tuple"``, ``"columnar"``
-        or ``"sqlite"`` (:data:`repro.lp.columnar.BACKENDS`); maintained
-        models are backend-invariant.
+        Grounding executor for the delta rounds — ``"columnar"`` (default,
+        as in :class:`~repro.core.engine.WellFoundedEngine`), ``"tuple"``
+        (the differential oracle) or ``"sqlite"``
+        (:data:`repro.lp.columnar.BACKENDS`); maintained models are
+        backend-invariant.
     max_rounds_per_update, max_atoms:
         Budgets: grounding rounds allowed per logical update, and an absolute
         cap on the candidate-atom count.  On exhaustion the update raises
@@ -185,7 +187,7 @@ class MaterializedEngine:
         program: Union[DatalogPMProgram, NormalProgram, str, Iterable[NormalRule]],
         database: Union[Database, Iterable[Atom], str, None] = None,
         *,
-        backend: str = "tuple",
+        backend: str = "columnar",
         max_rounds_per_update: Optional[int] = None,
         max_atoms: Optional[int] = None,
         skolem_args: str = "universal",
